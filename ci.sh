@@ -87,14 +87,15 @@ TABLE_AUTO_DIR=$(mktemp -d)
 diff -u results/table_auto.csv "$TABLE_AUTO_DIR/table_auto.csv"
 rm -rf "$TABLE_AUTO_DIR"
 
-echo "== simulator parallel-tick oracle (fixed-seed) =="
-# The mta-sim determinism gate: Machine::run_parallel must be
-# bit-identical to the sequential interpreter (RunResult, SimStats, fault
-# order, final memory words and full/empty bits) at 1/2/8 workers across
-# the kernel corpus, a deadlock/fault matrix, and a fixed-seed
+echo "== simulator goldens (fixed-seed) =="
+# The mta-sim behaviour pin: Machine::run must reproduce the recorded
+# cycles, completion/deadlock flags, fault count, RunResult digest and
+# final-memory digest (words and full/empty bits) of every case in
+# crates/mta-sim/tests/goldens/run.txt: the kernel corpus, lookahead,
+# timeout and soft-spawn runs, a deadlock/fault matrix, and a fixed-seed
 # random-program fuzz smoke. Also part of `cargo test`; kept explicit so
-# a parallel-tick divergence is named in CI output.
-cargo test -q -p mta-sim --test par_oracle
+# a simulator behaviour change is named in CI output.
+cargo test -q -p mta-sim --test goldens
 
 echo "== pinned regression corpus replay =="
 # Every minimized failure ever pinned under tests/corpus/ replays through
@@ -107,11 +108,8 @@ echo "== harness regression gate (schema + identity + speedups) =="
 # phase must carry a breakdown, and the report must carry the kernels
 # phase), fails if any phase's parallel output diverged from sequential,
 # fails if the table-generation phase fell below the 0.95x speedup gate,
-# fails if the mta_par phase is missing, non-identical, or shows the
-# windowed two-phase tick costing more than 5% over the sequential
-# interpreter, and fails if the run-based arena kernels fell below 1.5x
-# over the pinned scalar baseline on the terrain pipeline. The table-gen
-# check is
+# and fails if the run-based arena kernels fell below 1.5x over the
+# pinned scalar baseline on the terrain pipeline. The table-gen check is
 # robust on throttled or single-core CI hosts *because* of par_map's
 # measured sequential cutoff: when parallelism cannot pay for its own
 # dispatch, the phase runs sequentially and the ratio sits at ~1.0

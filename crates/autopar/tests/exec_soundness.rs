@@ -286,7 +286,7 @@ fn run_sequential(ops: &[Op]) -> Memory {
 /// afterward, compaction buffered per iteration and concatenated in
 /// iteration order. Panics if a written scalar is neither privatized nor
 /// a reduction — a parallel verdict must account for every scalar.
-fn run_parallel(ops: &[Op], order: &[i64]) -> Memory {
+fn run_planned(ops: &[Op], order: &[i64]) -> Memory {
     let l = lower(ops);
     let dv = analyze_loop_dataflow(&l, &DataflowOptions::new(1));
     assert!(dv.verdict.parallel, "caller checks");
@@ -475,7 +475,7 @@ proptest! {
         if dv.verdict.parallel {
             let seq = run_sequential(&ops);
             for order in orders() {
-                let par = run_parallel(&ops, &order);
+                let par = run_planned(&ops, &order);
                 compare(&ops, &seq, &par);
             }
         }
@@ -531,7 +531,7 @@ fn program1_shaped_compaction_executes_bit_identically() {
     assert_eq!(dv.compactions, vec![("out".to_string(), "n".to_string())]);
     let seq = run_sequential(&ops);
     for order in orders() {
-        compare(&ops, &seq, &run_parallel(&ops, &order));
+        compare(&ops, &seq, &run_planned(&ops, &order));
     }
 }
 
@@ -565,6 +565,6 @@ fn privatized_temp_executes_bit_identically() {
     assert!(dv.privatized_scalars.contains(&"t0".to_string()));
     let seq = run_sequential(&ops);
     for order in orders() {
-        compare(&ops, &seq, &run_parallel(&ops, &order));
+        compare(&ops, &seq, &run_planned(&ops, &order));
     }
 }

@@ -106,7 +106,7 @@ fn bench_chunk_count_model(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_mta_parameter_sensitivity(c: &mut Criterion) {
+fn bench_machine_parameter_sensitivity(c: &mut Criterion) {
     // Which MTA parameters drive the sequential-slowness headline?
     let e = experiments();
     let base = e.cal.tera.clone();
@@ -128,7 +128,7 @@ fn bench_mta_parameter_sensitivity(c: &mut Criterion) {
             .sum();
         println!("  {label:<38} {secs:>8.1} s");
     }
-    let mut g = c.benchmark_group("ablation_mta_params");
+    let mut g = c.benchmark_group("ablation_machine_params");
     g.sample_size(20);
     g.bench_function("seq_model_eval", |b| {
         b.iter(|| {
@@ -176,7 +176,7 @@ criterion_group!(
     bench_block_granularity,
     bench_scheduling,
     bench_chunk_count_model,
-    bench_mta_parameter_sensitivity,
+    bench_machine_parameter_sensitivity,
     bench_lookahead
 );
 criterion_main!(benches);

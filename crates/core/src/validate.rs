@@ -230,8 +230,8 @@ pub fn terrain_masking_parallel_traces(
     traces
 }
 
-/// Run parallel traces and return the result.
-pub fn run_parallel_traces(traces: Vec<Vec<Op>>) -> SmpResult {
+/// Run one trace per CPU on the SMP model and return the result.
+pub fn run_smp_traces(traces: Vec<Vec<Op>>) -> SmpResult {
     let n = traces.len();
     let mut m = SmpMachine::new(SmpConfig {
         n_cpus: n,
@@ -305,9 +305,8 @@ mod tests {
             seed: 9,
             ..Default::default()
         });
-        let time = |n: usize| {
-            run_parallel_traces(terrain_masking_parallel_traces(&scenario, n, 16)).makespan()
-        };
+        let time =
+            |n: usize| run_smp_traces(terrain_masking_parallel_traces(&scenario, n, 16)).makespan();
         let t1 = time(1);
         let t4 = time(4);
         let t16 = time(16);
@@ -317,7 +316,7 @@ mod tests {
         assert!(s16 < 10.0, "16-CPU speedup must saturate: {s16}");
         assert!(s16 < 16.0 * 0.65, "well below linear: {s16}");
         // And the coherence traffic on the shared masking array is real.
-        let r16 = run_parallel_traces(terrain_masking_parallel_traces(&scenario, 16, 16));
+        let r16 = run_smp_traces(terrain_masking_parallel_traces(&scenario, 16, 16));
         assert!(r16.invalidations > 0, "shared-array writes must invalidate");
     }
 

@@ -3,49 +3,83 @@
 //!
 //! ```text
 //! mta-run PROG.asm [--procs N] [--streams N] [--lookahead N] [--arg V]
-//!                  [--workers N] [--empty ADDR]... [--dump ADDR..ADDR]
+//!                  [--empty ADDR]... [--dump ADDR..ADDR]
 //! ```
 //!
-//! `--workers N` (N > 1) runs the deterministic parallel tick
-//! ([`Machine::run_parallel`]) with N host worker threads; the result is
-//! bit-identical to the default sequential interpreter.
+//! A bad flag, a missing or unparseable value, zero `--procs` or
+//! `--streams`, or an `--empty`/`--dump` address outside memory prints
+//! the usage line and exits 1. A run that times out exits 2.
 
 use mta_sim::asm_text::assemble_text;
 use mta_sim::{Machine, MtaConfig};
+use std::str::FromStr;
+
+const USAGE: &str = "usage: mta-run PROG.asm [--procs N] [--streams N] [--lookahead N] \
+                     [--arg V] [--empty ADDR]... [--dump A..B]";
+
+/// Print `msg` and the usage line, then exit 1.
+fn fail(msg: &str) -> ! {
+    eprintln!("mta-run: {msg}\n{USAGE}");
+    std::process::exit(1);
+}
+
+/// Parse `flag`'s value, failing on a missing or unparseable one.
+fn value<T: FromStr>(flag: &str, v: Option<String>) -> T {
+    let Some(v) = v else {
+        fail(&format!("{flag} needs a value"))
+    };
+    v.parse()
+        .unwrap_or_else(|_| fail(&format!("{flag}: cannot parse {v:?}")))
+}
+
+/// Like [`value`], but zero is rejected too.
+fn positive(flag: &str, v: Option<String>) -> usize {
+    match value(flag, v) {
+        0 => fail(&format!("{flag} must be at least 1")),
+        n => n,
+    }
+}
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let mut path = None;
     let mut cfg = MtaConfig::tera(1);
     let mut arg_val = 0u64;
-    let mut workers = 1usize;
     let mut empties: Vec<usize> = Vec::new();
     let mut dump: Option<(usize, usize)> = None;
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--procs" => cfg.n_processors = args.next().unwrap().parse().unwrap(),
-            "--streams" => cfg.streams_per_processor = args.next().unwrap().parse().unwrap(),
-            "--lookahead" => cfg.lookahead = args.next().unwrap().parse().unwrap(),
-            "--arg" => arg_val = args.next().unwrap().parse().unwrap(),
-            "--workers" => workers = args.next().unwrap().parse().unwrap(),
-            "--empty" => empties.push(args.next().unwrap().parse().unwrap()),
+            "--procs" => cfg.n_processors = positive(&a, args.next()),
+            "--streams" => cfg.streams_per_processor = positive(&a, args.next()),
+            "--lookahead" => cfg.lookahead = value(&a, args.next()),
+            "--arg" => arg_val = value(&a, args.next()),
+            "--empty" => empties.push(value(&a, args.next())),
             "--dump" => {
-                let spec = args.next().unwrap();
-                let (a, b) = spec.split_once("..").expect("--dump A..B");
-                dump = Some((a.parse().unwrap(), b.parse().unwrap()));
+                let spec: String = value(&a, args.next());
+                let Some((lo, hi)) = spec.split_once("..") else {
+                    fail(&format!("--dump: expected A..B, got {spec:?}"))
+                };
+                let lo = value(&a, Some(lo.to_string()));
+                let hi = value(&a, Some(hi.to_string()));
+                if lo > hi {
+                    fail(&format!("--dump: empty range {spec}"));
+                }
+                dump = Some((lo, hi));
             }
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: mta-run PROG.asm [--procs N] [--streams N] [--lookahead N] \
-                     [--arg V] [--workers N] [--empty ADDR]... [--dump A..B]"
-                );
+                eprintln!("{USAGE}");
                 return;
             }
-            p => path = Some(p.to_string()),
+            flag if flag.starts_with('-') => fail(&format!("unknown flag {flag}")),
+            p if path.is_none() => path = Some(p.to_string()),
+            p => fail(&format!("unexpected argument {p}")),
         }
     }
-    let path = path.expect("usage: mta-run PROG.asm (see --help)");
-    let source = std::fs::read_to_string(&path).expect("read program");
+    let Some(path) = path else {
+        fail("no program given")
+    };
+    let source = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
     let program = match assemble_text(&source) {
         Ok(p) => p,
         Err(e) => {
@@ -53,16 +87,20 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let mut m = Machine::new(cfg.clone(), program).expect("machine");
-    for a in empties {
+    let mut m = Machine::new(cfg.clone(), program).unwrap_or_else(|e| fail(&e));
+    for &a in &empties {
+        m.memory()
+            .check(a)
+            .unwrap_or_else(|e| fail(&format!("--empty: {e}")));
         m.memory_mut().set_empty(a);
     }
-    m.spawn(0, arg_val).expect("spawn");
-    let r = if workers > 1 {
-        m.run_parallel(10_000_000_000, workers)
-    } else {
-        m.run(10_000_000_000)
-    };
+    if let Some((_, hi)) = dump.filter(|&(lo, hi)| lo < hi) {
+        m.memory()
+            .check(hi - 1)
+            .unwrap_or_else(|e| fail(&format!("--dump: {e}")));
+    }
+    m.spawn(0, arg_val).unwrap_or_else(|e| fail(&e));
+    let r = m.run(10_000_000_000);
     let secs = match r.seconds(cfg.clock_mhz) {
         Ok(s) => s,
         Err(e) => {

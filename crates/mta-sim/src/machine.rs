@@ -23,8 +23,6 @@ use crate::ir::{Instr, Program};
 use crate::memory::Memory;
 use crate::processor::{Processor, Stream};
 use std::collections::{HashMap, VecDeque};
-use std::sync::Mutex;
-use sthreads::{scope_threads, SpinBarrier};
 
 /// Machine configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -292,19 +290,6 @@ pub struct Machine {
     wakes: u64,
     reparks: u64,
     mix: InstrMix,
-    /// Live, unparked streams whose *next* instruction is a `Fork`.
-    /// Maintained at every pc transition (install, issue, park, wake,
-    /// removal) in both run modes; [`Machine::run_parallel`] sizes its
-    /// event windows from these counts in O(1) — a fork can install a
-    /// stream `fork_cost` cycles after issuing, so windows shrink to
-    /// `fork_cost` exactly while some stream is about to fork.
-    armed_forks: usize,
-    /// Live, unparked streams whose next instruction is a full/empty
-    /// operation (`LoadSync`, `StoreSync`, `ReadFF`, `Put`, `FetchAdd`) —
-    /// a commit can wake waiters `wake_latency` cycles later, so windows
-    /// shrink to `wake_latency` while one is armed. See
-    /// [`Machine::armed_forks`].
-    armed_syncs: usize,
 }
 
 impl Machine {
@@ -332,31 +317,7 @@ impl Machine {
             wakes: 0,
             reparks: 0,
             mix: InstrMix::default(),
-            armed_forks: 0,
-            armed_syncs: 0,
         })
-    }
-
-    /// Count the stream now sitting (live and unparked) at `pc` into the
-    /// armed-instruction counters.
-    fn arm(&mut self, pc: usize) {
-        match self.program.code.get(pc).copied() {
-            Some(Instr::Fork { .. }) => self.armed_forks += 1,
-            Some(i) if is_full_empty(i) => self.armed_syncs += 1,
-            _ => {}
-        }
-    }
-
-    /// Remove a stream previously counted at `pc` (it issued past the
-    /// instruction, parked, or was removed) from the armed counters. In
-    /// release builds an unbalanced call wraps the count huge, which only
-    /// narrows parallel-tick windows — conservative, never unsound.
-    fn disarm(&mut self, pc: usize) {
-        match self.program.code.get(pc).copied() {
-            Some(Instr::Fork { .. }) => self.armed_forks = self.armed_forks.wrapping_sub(1),
-            Some(i) if is_full_empty(i) => self.armed_syncs = self.armed_syncs.wrapping_sub(1),
-            _ => {}
-        }
     }
 
     /// The machine's configuration.
@@ -386,7 +347,6 @@ impl Machine {
             let p = (self.next_place + i) % n;
             if self.processors[p].has_free_slot() {
                 self.processors[p].install(Stream::new(entry, arg), self.cycle);
-                self.arm(entry);
                 self.next_place = (p + 1) % n;
                 return Ok(());
             }
@@ -481,199 +441,9 @@ impl Machine {
         }
     }
 
-    /// Run the machine with the barriered two-phase parallel tick,
-    /// producing output **bit-identical** to [`Machine::run`] — the same
-    /// final memory, `SimStats`, fault list, and cycle count — for every
-    /// `n_workers`.
-    ///
-    /// The tick advances all processors through a dynamically sized
-    /// *event window* per barrier round:
-    ///
-    /// * **Phase A** (parallel): each worker owns a disjoint chunk of
-    ///   processors and advances each one cycle-by-cycle through the
-    ///   window, fully executing stream-local instructions
-    ///   (`exec_local`) and recording a `(cycle, processor, slot)`
-    ///   *proposal* for every shared-effect issue (memory, full/empty,
-    ///   fork/halt, faults). Issue selection, the lookahead gate, and
-    ///   local execution read only the processor's own state.
-    /// * **Phase B** (serial): the coordinator commits the proposals in
-    ///   `(cycle, processor)` order through the sequential
-    ///   `Machine::execute` — the identical order the sequential loop
-    ///   visits them in, so bank scheduling, full/empty transitions,
-    ///   waiter wakes, thread placement, and fault ordering are
-    ///   reproduced exactly.
-    ///
-    /// Determinism rests on one invariant: every cross-stream effect a
-    /// commit at cycle `c` produces lands at or after the window's end —
-    /// so no phase-A work is ever invalidated and no rollback is needed.
-    /// The window is sized to make that true:
-    ///
-    /// * a window never exceeds `issue_latency`, so every stream issues
-    ///   at most once per window, and the instruction it issues is the
-    ///   one at its pc when the window began;
-    /// * each instruction therefore has a known *effect class* — the
-    ///   earliest relative cycle at which its commit can touch another
-    ///   stream: `fork_cost` for `Fork` (the installed stream becomes
-    ///   runnable), `wake_latency` for the full/empty operations (a
-    ///   transition can wake waiters), unbounded for everything else
-    ///   (plain memory operations reschedule only their own stream, at
-    ///   `≥ c + issue_latency`, and bank state is phase-B-serial);
-    /// * the machine tracks, incrementally at every pc transition, how
-    ///   many runnable streams currently sit at a `Fork`
-    ///   (`Machine::arm`, `armed_forks`) or at a full/empty
-    ///   instruction (`armed_syncs`). Phase A contributes its half of
-    ///   the updates through per-worker deltas (local execution can only
-    ///   move a stream *onto* an armed instruction), and phase B's
-    ///   commits, wakes, parks, and installs maintain the counters
-    ///   directly — so sizing the next window is O(1) and exact.
-    ///
-    /// The next window is `issue_latency`, capped by `fork_cost` while
-    /// any stream is about to fork, by `wake_latency` while any is about
-    /// to touch a full/empty bit, and by `soft_spawn_cost` while
-    /// software-pending threads exist (any commit may fault, freeing a
-    /// slot and spawning one). A sync- and fork-free steady state runs
-    /// `issue_latency`-cycle windows. Configurations where any of these
-    /// latencies is zero (or a single processor) fall back to the
-    /// sequential loop.
-    ///
-    /// Between windows the coordinator *event-horizon batches*: when a
-    /// window ends with no stream ready before some future cycle `t`, all
-    /// processors jump straight to `t` (the sequential loop's
-    /// fast-forward, applied globally), so fully idle stretches cost one
-    /// barrier round instead of one round per window.
-    pub fn run_parallel(&mut self, max_cycles: u64, n_workers: usize) -> RunResult {
-        let min_window = self
-            .config
-            .wake_latency
-            .min(self.config.fork_cost)
-            .min(self.config.soft_spawn_cost)
-            .min(self.config.issue_latency);
-        let n_procs = self.processors.len();
-        if min_window == 0 || n_procs <= 1 {
-            // No safe window (some cross-stream effect could land in the
-            // cycle it issues) or nothing to split: the sequential loop
-            // is the semantics.
-            return self.run(max_cycles);
-        }
-        let n_workers = n_workers.clamp(1, n_procs);
-        // Read-only copies for phase A, so workers never reach through
-        // the machine for the program or timing parameters.
-        let program = self.program.clone();
-        let config = self.config.clone();
-        if n_workers == 1 {
-            // A single worker needs none of the scaffolding below: drive
-            // the same windowed two-phase tick inline — phase A over
-            // every processor, then the serial commit — with no barrier,
-            // control block, or locks. Besides being faster, this keeps
-            // the `mta_par` determinism gate honest on single-core
-            // hosts, where the measured cost is the windowing itself.
-            let mut out = WindowOut::default();
-            let mut drv = WindowDriver::default();
-            while let Some((start, end)) = drv.next_window(self, max_cycles) {
-                for p in 0..n_procs {
-                    phase_a(
-                        &mut self.processors[p],
-                        p,
-                        &program,
-                        &config,
-                        start..end,
-                        &mut out,
-                    );
-                }
-                drv.absorb(self, &mut out);
-                if !drv.commit(self, start, end, max_cycles) {
-                    break;
-                }
-            }
-            drv.report_stats();
-            return self.result(drv.completed, drv.deadlocked);
-        }
-        let ctl = Mutex::new(WindowCtl {
-            start: 0,
-            end: 0,
-            stop: false,
-        });
-        let barrier = SpinBarrier::new(n_workers);
-        let outs: Vec<Mutex<WindowOut>> = (0..n_workers)
-            .map(|_| Mutex::new(WindowOut::default()))
-            .collect();
-        let outcome = Mutex::new((false, false));
-        let procs = ProcsPtr(self.processors.as_mut_ptr());
-        let me = MachinePtr(self as *mut Machine);
-
-        let phase_a_chunk = |w: usize, start: u64, end: u64| {
-            let out = &mut *outs[w].lock().unwrap();
-            for p in sthreads::chunk_range(w, n_procs, n_workers) {
-                // SAFETY: barrier protocol. Phase A runs strictly between
-                // two barrier crossings, during which worker `w` is the
-                // only thread touching processors in its (disjoint) chunk
-                // and the coordinator does not touch the machine at all.
-                let proc = unsafe { &mut *procs.at(p) };
-                phase_a(proc, p, &program, &config, start..end, out);
-            }
-        };
-
-        scope_threads(n_workers, |w| {
-            if w == 0 {
-                // Logical thread 0 is the coordinator: it sequences
-                // windows, participates in phase A on its own chunk, and
-                // runs phase B alone.
-                let mut drv = WindowDriver::default();
-                loop {
-                    let next = {
-                        // SAFETY: outside phase A the workers are parked
-                        // at the window barrier and hold no references
-                        // into the machine; the coordinator has exclusive
-                        // access.
-                        let m = unsafe { &mut *me.get() };
-                        drv.next_window(m, max_cycles)
-                    };
-                    let Some((start, end)) = next else { break };
-                    {
-                        let mut c = ctl.lock().unwrap();
-                        c.start = start;
-                        c.end = end;
-                    }
-                    barrier.wait(); // workers read ctl and enter phase A
-                    phase_a_chunk(0, start, end);
-                    barrier.wait(); // phase A quiesced on every worker
-                                    // SAFETY: as above — workers are parked again.
-                    let m = unsafe { &mut *me.get() };
-                    for o in &outs {
-                        drv.absorb(m, &mut o.lock().unwrap());
-                    }
-                    if !drv.commit(m, start, end, max_cycles) {
-                        break;
-                    }
-                }
-                drv.report_stats();
-                ctl.lock().unwrap().stop = true;
-                barrier.wait(); // release workers into the stop check
-                *outcome.lock().unwrap() = (drv.completed, drv.deadlocked);
-            } else {
-                loop {
-                    barrier.wait();
-                    let (start, end, stop) = {
-                        let c = ctl.lock().unwrap();
-                        (c.start, c.end, c.stop)
-                    };
-                    if stop {
-                        break;
-                    }
-                    phase_a_chunk(w, start, end);
-                    barrier.wait();
-                }
-            }
-        });
-        let (completed, deadlocked) = *outcome.lock().unwrap();
-        self.result(completed, deadlocked)
-    }
-
     /// Kill the stream with a fault message.
     fn fault(&mut self, p: usize, slot: usize, msg: String) {
         self.faults.push(format!("proc {p} slot {slot}: {msg}"));
-        let pc = self.processors[p].stream(slot).pc;
-        self.disarm(pc);
         self.processors[p].remove(slot);
         self.start_pending_if_any(p);
     }
@@ -682,7 +452,6 @@ impl Machine {
         if let Some((entry, arg)) = self.pending_threads.pop_front() {
             let at = self.cycle + self.config.soft_spawn_cost;
             self.processors[p].install(Stream::new(entry, arg), at);
-            self.arm(entry);
         }
     }
 
@@ -692,9 +461,6 @@ impl Machine {
             while let Some((wp, wslot)) = w.on_full.pop_front() {
                 self.processors[wp].stream_mut(wslot).was_woken = true;
                 self.processors[wp].make_ready_at(wslot, at);
-                // A parked stream sits at the full/empty instruction it
-                // blocked on; waking re-arms it.
-                self.armed_syncs += 1;
                 self.wakes += 1;
             }
         }
@@ -706,8 +472,6 @@ impl Machine {
             while let Some((wp, wslot)) = w.on_empty.pop_front() {
                 self.processors[wp].stream_mut(wslot).was_woken = true;
                 self.processors[wp].make_ready_at(wslot, at);
-                // See `wake_on_full`: waking re-arms the sync retry.
-                self.armed_syncs += 1;
                 self.wakes += 1;
             }
         }
@@ -935,7 +699,6 @@ impl Machine {
                     if self.processors[tp].has_free_slot() {
                         let at = self.cycle + self.config.fork_cost;
                         self.processors[tp].install(Stream::new(entry, argv), at);
-                        self.arm(entry);
                         self.next_place = (tp + 1) % n;
                         self.forks += 1;
                         placed = true;
@@ -950,14 +713,11 @@ impl Machine {
             }
             Instr::Halt => halted = true,
             // Everything else (ALU, float, move, branch, nonzero-divisor
-            // Div) touches only the issuing stream's registers and pc —
-            // the same helper phase A of the parallel tick runs
-            // concurrently per processor.
+            // Div) touches only the issuing stream's registers and pc.
             _ => next_pc = exec_local(self.processors[p].stream_mut(slot), instr, pc),
         }
 
         if halted {
-            // `Halt` itself is never armed; no disarm needed.
             self.processors[p].remove(slot);
             self.start_pending_if_any(p);
             return;
@@ -974,16 +734,12 @@ impl Machine {
                 self.reparks += 1;
             }
             self.processors[p].park(slot);
-            // Parked streams cannot issue until woken; the wake re-arms.
-            self.disarm(pc);
             return;
         }
         let s = self.processors[p].stream_mut(slot);
         s.was_woken = false;
         s.pc = next_pc;
         self.processors[p].make_ready_at(slot, ready_at);
-        self.disarm(pc);
-        self.arm(next_pc);
     }
 }
 
@@ -991,8 +747,8 @@ impl Machine {
 /// only the issuing stream's registers — and return the next pc. These
 /// are the ALU, floating-point, move, and branch instructions, plus `Div`
 /// with a nonzero divisor; everything else (memory, full/empty bits,
-/// thread creation, faults) has shared effects and must go through
-/// [`Machine::execute`] so those effects land in deterministic order.
+/// thread creation, faults) touches shared machine state and is handled
+/// by [`Machine::execute`] itself.
 ///
 /// Callers must have excluded divide-by-zero first (it faults, which
 /// appends to the machine-wide fault list).
@@ -1099,276 +855,9 @@ fn exec_local(s: &mut Stream, instr: Instr, pc: usize) -> usize {
     next_pc
 }
 
-/// Coordinator→worker window publication for the parallel tick. Reads
-/// and writes are ordered by the window barrier; the mutex makes the
-/// handoff safe Rust.
-struct WindowCtl {
-    start: u64,
-    end: u64,
-    stop: bool,
-}
-
-/// The window-sequencing half of the two-phase tick, shared by the
-/// multi-worker coordinator and the scaffolding-free single-worker path
-/// of [`Machine::run_parallel`]: sizing each window from the armed
-/// counters, merging phase-A outputs, committing proposals in
-/// `(cycle, processor)` order, and the between-window fast-forward /
-/// deadlock / completion bookkeeping.
-#[derive(Default)]
-struct WindowDriver {
-    merged: Vec<(u64, usize, usize)>,
-    last_issue: Option<u64>,
-    completed: bool,
-    deadlocked: bool,
-    n_windows: u64,
-    covered: u64,
-}
-
-impl WindowDriver {
-    /// Size the next event window from the machine's armed counters, or
-    /// `None` when the run is over (completion sets `self.completed`;
-    /// hitting `max_cycles` leaves both flags clear — a timeout).
-    ///
-    /// Every stream issues at most once per window (window ≤
-    /// `issue_latency`), and the instruction it issues is the one at its
-    /// current pc — so unless some runnable stream sits at a fork or
-    /// full/empty instruction, no commit can touch another stream sooner
-    /// than `issue_latency` cycles out. While software-pending threads
-    /// exist, any commit may fault, freeing a slot and spawning one at
-    /// `c + soft_spawn_cost`.
-    fn next_window(&mut self, m: &mut Machine, max_cycles: u64) -> Option<(u64, u64)> {
-        if m.live_total() == 0 && m.pending_threads.is_empty() {
-            self.completed = true;
-            return None;
-        }
-        if m.cycle >= max_cycles {
-            return None;
-        }
-        let mut window = m.config.issue_latency;
-        if m.armed_forks > 0 {
-            window = window.min(m.config.fork_cost);
-        }
-        if m.armed_syncs > 0 {
-            window = window.min(m.config.wake_latency);
-        }
-        if !m.pending_threads.is_empty() {
-            window = window.min(m.config.soft_spawn_cost);
-        }
-        let (start, end) = (m.cycle, (m.cycle + window).min(max_cycles));
-        self.n_windows += 1;
-        self.covered += end - start;
-        self.merged.clear();
-        self.last_issue = None;
-        Some((start, end))
-    }
-
-    /// Fold one worker's phase-A output into the machine and the pending
-    /// commit list, leaving `out` empty for the next window.
-    fn absorb(&mut self, m: &mut Machine, out: &mut WindowOut) {
-        self.merged.append(&mut out.proposals);
-        m.mix.alu += out.local_issues;
-        m.armed_forks += out.new_forks;
-        m.armed_syncs += out.new_syncs;
-        out.local_issues = 0;
-        out.new_forks = 0;
-        out.new_syncs = 0;
-        self.last_issue = self.last_issue.max(out.last_issue.take());
-    }
-
-    /// Phase B plus the between-window bookkeeping, matching the
-    /// sequential loop's cycle accounting exactly. Returns `false` when
-    /// the run must stop (deadlock).
-    fn commit(&mut self, m: &mut Machine, start: u64, end: u64, max_cycles: u64) -> bool {
-        // Commit shared effects in (cycle, processor) order — the exact
-        // order the sequential loop visits them in.
-        self.merged.sort_unstable();
-        for &(cycle, p, slot) in &self.merged {
-            m.cycle = cycle;
-            // `execute` maintains the armed counters itself, so the next
-            // window sizing sees the post-commit pcs, wakes, and
-            // installs.
-            m.execute(p, slot);
-        }
-        if m.live_total() == 0 && m.pending_threads.is_empty() {
-            // The final halt issued at `last_issue`; the sequential loop
-            // advances one cycle past it before noticing completion.
-            m.cycle = self.last_issue.expect("completion requires an issue") + 1;
-            return true;
-        }
-        let resume = match self.last_issue {
-            Some(t) => t + 1,
-            None => start,
-        };
-        if resume >= max_cycles {
-            m.cycle = max_cycles;
-            return true;
-        }
-        if self.last_issue == Some(end - 1) {
-            // Dense window: a stream issued at the window's final cycle,
-            // so the machine is almost certainly still busy. Open the
-            // next window at `resume` without scanning every processor's
-            // event heap (the cost the sequential loop only pays on idle
-            // cycles). If nothing turns out to be ready, that window
-            // issues nothing and its commit falls through to the scan
-            // below — the final state is identical either way.
-            m.cycle = resume;
-            return true;
-        }
-        // Event horizon: after `resume` no stream is ready before the
-        // earliest pending event, so jump all processors straight to it
-        // — or declare deadlock if only parked streams remain. Clamped
-        // to the budget like the sequential fast-forward.
-        let next = m
-            .processors
-            .iter_mut()
-            .filter_map(|p| p.next_event(resume))
-            .min();
-        match next {
-            Some(t) => {
-                m.cycle = t.min(max_cycles);
-                true
-            }
-            None => {
-                self.deadlocked = true;
-                m.cycle = resume;
-                false
-            }
-        }
-    }
-
-    /// Env-gated window-size telemetry (`MTA_WINDOW_STATS=1`).
-    fn report_stats(&self) {
-        if std::env::var_os("MTA_WINDOW_STATS").is_some() {
-            eprintln!(
-                "windows {} covering {} cycles (avg {:.2})",
-                self.n_windows,
-                self.covered,
-                self.covered as f64 / self.n_windows.max(1) as f64
-            );
-        }
-    }
-}
-
-/// Per-worker phase-A output for one window of the parallel tick.
-#[derive(Default)]
-struct WindowOut {
-    /// Proposed shared-effect issues as `(cycle, processor, slot)`;
-    /// sorting the merged proposals therefore yields the sequential
-    /// loop's (cycle, processor) commit order.
-    proposals: Vec<(u64, usize, usize)>,
-    /// Stream-local instructions issued this window (all ALU-class).
-    local_issues: u64,
-    /// Latest cycle at which any of this worker's processors issued.
-    last_issue: Option<u64>,
-    /// Streams that local execution advanced *onto* a `Fork` instruction
-    /// this window. Local instructions are never armed themselves, so
-    /// phase A only ever increments the machine's armed counters; the
-    /// coordinator merges these deltas before sizing the next window.
-    new_forks: usize,
-    /// As [`WindowOut::new_forks`], for full/empty instructions.
-    new_syncs: usize,
-}
-
-/// The machine, sharable with pool workers under the barrier protocol
-/// documented in [`Machine::run_parallel`].
-struct MachinePtr(*mut Machine);
-// SAFETY: access is mediated by the window barrier — the coordinator
-// touches the machine only while workers are parked, and workers touch
-// only disjoint processors during phase A.
-unsafe impl Send for MachinePtr {}
-unsafe impl Sync for MachinePtr {}
-
-impl MachinePtr {
-    /// The raw machine pointer (closures capture the Sync wrapper, not
-    /// the bare pointer field).
-    fn get(&self) -> *mut Machine {
-        self.0
-    }
-}
-
-/// The machine's processor array, sharable under the same protocol.
-struct ProcsPtr(*mut Processor);
-// SAFETY: see `MachinePtr` — each worker dereferences only the disjoint
-// elements of its own chunk, and only during phase A.
-unsafe impl Send for ProcsPtr {}
-unsafe impl Sync for ProcsPtr {}
-
-impl ProcsPtr {
-    /// Pointer to processor `p` (see the Sync note on [`MachinePtr`]).
-    fn at(&self, p: usize) -> *mut Processor {
-        // Chunk indices come from `chunk_range` over the processor count,
-        // so `p` is always in bounds.
-        unsafe { self.0.add(p) }
-    }
-}
-
-/// Phase A of the parallel tick: advance one processor cycle-by-cycle
-/// through `window`, fully executing stream-local instructions and
-/// recording a proposal for every shared-effect issue. Touches only
-/// `proc` (plus the read-only program/config), so disjoint processors
-/// may run phase A concurrently.
-fn phase_a(
-    proc: &mut Processor,
-    p: usize,
-    program: &Program,
-    config: &MtaConfig,
-    window: std::ops::Range<u64>,
-    out: &mut WindowOut,
-) {
-    let lookahead = config.lookahead as usize;
-    for c in window {
-        // Mirror the sequential issue loop: pop ready streams until one
-        // issues; gate-blocked streams reschedule at their dependence
-        // time without consuming the cycle's issue slot.
-        while let Some(slot) = proc.next_to_issue(c) {
-            let instr = program.code.get(proc.stream(slot).pc).copied();
-            if config.lookahead > 1 {
-                if let Some(instr) = instr {
-                    let wait = gate_ready_at(proc.stream_mut(slot), instr, c, lookahead);
-                    if wait > c {
-                        proc.make_ready_at(slot, wait);
-                        continue;
-                    }
-                }
-            }
-            match instr {
-                Some(instr) if is_local_effect(instr, proc.stream(slot)) => {
-                    let pc = proc.stream(slot).pc;
-                    proc.record_issue(slot);
-                    out.local_issues += 1;
-                    let next_pc = exec_local(proc.stream_mut(slot), instr, pc);
-                    let s = proc.stream_mut(slot);
-                    s.was_woken = false;
-                    s.pc = next_pc;
-                    proc.make_ready_at(slot, c + config.issue_latency);
-                    // Arm-counter delta: the stream may have advanced
-                    // onto a fork or full/empty instruction (a local
-                    // instruction is never armed, so no decrement).
-                    match program.code.get(next_pc).copied() {
-                        Some(Instr::Fork { .. }) => out.new_forks += 1,
-                        Some(i) if is_full_empty(i) => out.new_syncs += 1,
-                        _ => {}
-                    }
-                }
-                // A shared-effect instruction, or the pc ran off the end
-                // of the program (a fault): propose. The slot stays
-                // popped from the queues until phase B commits it
-                // through `Machine::execute` at exactly this cycle.
-                _ => out.proposals.push((c, p, slot)),
-            }
-            // Max, not assignment: one `WindowOut` accumulates over every
-            // processor in the worker's chunk, and a later processor's
-            // last issue may fall earlier in the window.
-            out.last_issue = out.last_issue.max(Some(c));
-            break;
-        }
-    }
-}
-
 /// Lookahead-dependence gate: the earliest cycle at which the stream's
 /// next instruction may issue given its scoreboard (`now` if it may issue
-/// immediately). Purely stream-local, so it is shared between
-/// [`Machine::try_issue`] and phase A of the parallel tick. Prunes
+/// immediately). Reads and updates only the stream itself; prunes
 /// completed in-flight operations as a side effect.
 fn gate_ready_at(s: &mut Stream, instr: Instr, now: u64, lookahead: usize) -> u64 {
     s.prune_outstanding(now);
@@ -1386,39 +875,6 @@ fn gate_ready_at(s: &mut Stream, instr: Instr, now: u64, lookahead: usize) -> u6
         wait = wait.max(s.earliest_outstanding(now));
     }
     wait.max(now)
-}
-
-/// Whether `instr`, issued by stream `s`, is purely stream-local (see
-/// [`exec_local`]). `Div` is local only while its divisor is nonzero — a
-/// zero divisor faults, which is a shared effect.
-/// Whether `instr` touches a word's full/empty bit when it commits — and
-/// can therefore wake waiters `wake_latency` cycles later. Broader than
-/// [`Instr::is_sync`]: `Put` never blocks but does wake.
-fn is_full_empty(instr: Instr) -> bool {
-    matches!(
-        instr,
-        Instr::LoadSync { .. }
-            | Instr::StoreSync { .. }
-            | Instr::ReadFF { .. }
-            | Instr::Put { .. }
-            | Instr::FetchAdd { .. }
-    )
-}
-
-fn is_local_effect(instr: Instr, s: &Stream) -> bool {
-    match instr {
-        Instr::Div { rb, .. } => s.reg(rb) != 0,
-        Instr::Load { .. }
-        | Instr::Store { .. }
-        | Instr::LoadSync { .. }
-        | Instr::StoreSync { .. }
-        | Instr::ReadFF { .. }
-        | Instr::Put { .. }
-        | Instr::FetchAdd { .. }
-        | Instr::Fork { .. }
-        | Instr::Halt => false,
-        _ => true,
-    }
 }
 
 #[cfg(test)]

@@ -99,19 +99,23 @@ fn golden(label: &str) -> Option<&'static str> {
 }
 
 /// Run every case; fail listing the actual line of each mismatch.
-fn check(cases: &[Case]) {
+/// Returns the results, in case order.
+fn check(cases: &[Case]) -> Vec<mta_sim::RunResult> {
     let mut bad = Vec::new();
+    let mut results = Vec::new();
     for c in cases {
-        let (_, line) = c.run();
+        let (r, line) = c.run();
         if golden(&c.label) != Some(line.as_str()) {
             bad.push(line);
         }
+        results.push(r);
     }
     assert!(
         bad.is_empty(),
         "runs differ from goldens/run.txt; actual lines:\n{}",
         bad.join("\n")
     );
+    results
 }
 
 fn corpus_cases() -> Vec<Case> {
@@ -280,9 +284,7 @@ fn soft_spawn() {
 
 #[test]
 fn deadlock_across_processors() {
-    let cases = deadlock_cases();
-    check(&cases);
-    let (r, _) = cases[0].run();
+    let r = &check(&deadlock_cases())[0];
     assert!(r.deadlocked && !r.completed, "must deadlock: {r:?}");
     assert!(
         r.stats
@@ -299,9 +301,7 @@ fn deadlock_across_processors() {
 
 #[test]
 fn divide_by_zero_fault() {
-    let cases = fault_cases();
-    check(&cases);
-    let (r, _) = cases[0].run();
+    let r = &check(&fault_cases())[0];
     assert_eq!(r.faults.len(), 1, "{:?}", r.faults);
     assert!(r.faults[0].contains("divide by zero"), "{:?}", r.faults);
 }
