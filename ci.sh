@@ -87,6 +87,17 @@ TABLE_AUTO_DIR=$(mktemp -d)
 diff -u results/table_auto.csv "$TABLE_AUTO_DIR/table_auto.csv"
 rm -rf "$TABLE_AUTO_DIR"
 
+echo "== pinned paper tables (paper scale, no cache) =="
+# The golden for table generation: all 12 paper tables, measured and
+# calibrated from scratch at paper scale, must match results/ byte for
+# byte.
+TABLES_DIR=$(mktemp -d)
+./target/release/repro --no-cache tables --csv "$TABLES_DIR" > /dev/null
+for i in $(seq 1 12); do
+  diff -u "results/table_$i.csv" "$TABLES_DIR/table_$i.csv"
+done
+rm -rf "$TABLES_DIR"
+
 echo "== simulator goldens (fixed-seed) =="
 # The mta-sim behaviour pin: Machine::run must reproduce the recorded
 # cycles, completion/deadlock flags, fault count, RunResult digest and
