@@ -29,14 +29,6 @@ cargo test -q
 echo "== full workspace tests =="
 cargo test -q --workspace
 
-echo "== simd feature: build + tests + corpus replay =="
-# The `simd` feature swaps the LOS row sweeps onto explicit 4-wide lanes;
-# it is off by default so the pinned baselines stay scalar, and gated
-# here on producing bit-identical grids through the whole test suite and
-# the regression corpus.
-cargo test -q -p c3i -p c3i-fuzz --features c3i/simd
-cargo test -q --test corpus_replay --features c3i/simd
-
 echo "== kernels bench smoke (quick scale) =="
 # One pass over the per-kernel Criterion group at reduced sizes: proves
 # the bench target builds and runs; the paper-scale numbers live in
@@ -60,20 +52,18 @@ echo "== differential fuzz smoke (fixed seed) =="
 # broaden locally with `repro --fuzz 200 --fuzz-seed $RANDOM`.
 ./target/release/repro --reduced --fuzz 25 --fuzz-seed 1
 
-echo "== autopar oracle + soundness suites =="
-# The dataflow pass's contract, by name (see docs/AUTOPAR.md): the
-# parallel SCC-DAG solve is bit-identical to the sequential worklist
-# solver on random graphs and random loop nests at 1/2/8 workers
-# (dataflow_oracle); every PARALLEL verdict also *executes*
-# bit-identically — random loop bodies interpreted sequentially vs
-# uneven workers under adversarial iteration orders, privatized temps
-# poisoned (exec_soundness); brute-force soundness plus
-# dataflow-subsumes-conservative on random affine loops (soundness);
-# and the pinned provenance-carrying report text (report_snapshot).
+echo "== autopar soundness suites =="
+# The dataflow pass's contract, by name (see docs/AUTOPAR.md): every
+# PARALLEL verdict *executes* bit-identically — random loop bodies
+# interpreted sequentially vs uneven workers under adversarial iteration
+# orders, privatized temps poisoned (exec_soundness); brute-force
+# soundness plus dataflow-subsumes-conservative on random affine loops
+# (soundness); and the pinned provenance-carrying report text
+# (report_snapshot).
 # All also part of `cargo test`; explicit so a verdict regression is
 # named in CI output.
-cargo test -q -p autopar --test soundness --test dataflow_oracle \
-  --test exec_soundness --test report_snapshot
+cargo test -q -p autopar --test soundness --test exec_soundness \
+  --test report_snapshot
 
 echo "== table-auto smoke (auto-vs-manual comparison, pinned CSV) =="
 # Regenerates the living comparison table behind docs/AUTOPAR.md:
@@ -118,14 +108,11 @@ echo "== harness regression gate (schema + identity + speedups) =="
 # `repro --gate` parses the report against the extended schema (every
 # phase must carry a breakdown, and the report must carry the kernels
 # phase), fails if any phase's parallel output diverged from sequential,
-# fails if the table-generation phase fell below the 0.95x speedup gate,
-# and fails if the run-based arena kernels fell below 1.5x over the
-# pinned scalar baseline on the terrain pipeline. The table-gen check is
-# robust on throttled or single-core CI hosts *because* of par_map's
-# measured sequential cutoff: when parallelism cannot pay for its own
-# dispatch, the phase runs sequentially and the ratio sits at ~1.0
-# instead of regressing. The kernels check compares two sequential runs,
-# so core count does not affect it.
+# fails if work stealing fell below 0.95x of the shared queue on the
+# fine_grain storm, and fails if the run-based arena kernels fell below
+# 1.5x over the pinned scalar baseline on the terrain pipeline. The
+# kernels check compares two sequential runs, so core count does not
+# affect it.
 ./target/release/repro --gate BENCH_harness.json
 
 echo "== service smoke (serve + load replay + gate) =="

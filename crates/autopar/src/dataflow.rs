@@ -1,6 +1,5 @@
 //! The bitset dataflow engine: reaching definitions and liveness over the
-//! loop-nest IR, solved by a worklist algorithm — sequentially, or in
-//! parallel over the SCC DAG of the control-flow graph.
+//! loop-nest IR, solved by a worklist algorithm.
 //!
 //! # The lattice
 //!
@@ -12,29 +11,8 @@
 //! lattice has finite height (one bit per definition or scalar), so the
 //! worklist iteration terminates at the unique **least fixpoint**.
 //! Because the least fixpoint is unique and bitsets are canonical
-//! (trailing bits always zero), *any* sound evaluation order produces
-//! bit-identical results — the property the SCC-parallel solver's oracle
-//! tests pin down.
-//!
-//! # SCC scheduling invariants
-//!
-//! The parallel solver decomposes the CFG with [`crate::scc::tarjan`] and
-//! schedules the condensation by topological level
-//! ([`crate::scc::SccDag::levels`]):
-//!
-//! 1. every cycle is inside one SCC, so the condensation is acyclic;
-//! 2. levels are processed in ascending order with a barrier between
-//!    levels, so when an SCC solves, every predecessor SCC's `out` sets
-//!    are final;
-//! 3. within a level, SCCs are mutually unreachable, so solving them
-//!    concurrently (via [`sthreads::par_map`]) is race-free: each task
-//!    reads only frozen predecessor state and writes only its own nodes;
-//! 4. an SCC iterated to its local fixpoint with final predecessor inputs
-//!    equals the restriction of the global least fixpoint to its nodes.
-//!
-//! Together these make the parallel solve **deterministic and
-//! bit-identical** to the sequential worklist at any worker count — the
-//! sequential solver is kept as the oracle (`tests/dataflow_oracle.rs`).
+//! (trailing bits always zero), the solved facts do not depend on the
+//! order the worklist visits nodes in.
 //!
 //! # The control-flow graph
 //!
@@ -310,17 +288,13 @@ impl Cfg {
 }
 
 /// Solve a union/monotone dataflow problem `out = gen ∪ (in − kill)` with
-/// `in = ∪ preds' out` over an arbitrary graph. Returns `(in, out)` per
-/// node. With `n_workers <= 1` this is the sequential worklist oracle;
-/// otherwise the SCC-DAG schedule described in the module docs runs the
-/// solve level-parallel over [`sthreads::par_map`]. Both paths compute
-/// the same unique least fixpoint, bit for bit.
+/// `in = ∪ preds' out` over an arbitrary graph by worklist iteration.
+/// Returns `(in, out)` per node: the unique least fixpoint.
 pub fn solve_union_dataflow(
     succs: &[Vec<usize>],
     gen: &[BitSet],
     kill: &[BitSet],
     nbits: usize,
-    n_workers: usize,
 ) -> (Vec<BitSet>, Vec<BitSet>) {
     let n = succs.len();
     let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -331,85 +305,21 @@ pub fn solve_union_dataflow(
     }
     let mut in_sets = vec![BitSet::new(nbits); n];
     let mut out_sets = vec![BitSet::new(nbits); n];
-
-    // Local fixpoint over `nodes`, reading frozen `out` values for
-    // predecessors outside the set. `nodes` must be closed under cycles
-    // (an SCC, or the whole graph).
-    let solve_nodes = |nodes: &[usize], in_sets: &mut [BitSet], out_sets: &mut [BitSet]| {
-        let mut queue: std::collections::VecDeque<usize> = nodes.iter().copied().collect();
-        let mut queued = vec![false; n];
-        for &v in nodes {
-            queued[v] = true;
+    let mut queue: std::collections::VecDeque<usize> = (0..n).collect();
+    let mut queued = vec![true; n];
+    while let Some(v) = queue.pop_front() {
+        queued[v] = false;
+        let mut new_in = std::mem::replace(&mut in_sets[v], BitSet::new(0));
+        for &p in &preds[v] {
+            new_in.union_with(&out_sets[p]);
         }
-        while let Some(v) = queue.pop_front() {
-            queued[v] = false;
-            let mut new_in = std::mem::replace(&mut in_sets[v], BitSet::new(0));
-            for &p in &preds[v] {
-                new_in.union_with(&out_sets[p]);
-            }
-            in_sets[v] = new_in;
-            if BitSet::transfer_into(&mut out_sets[v], &in_sets[v], &gen[v], &kill[v]) {
-                for &s in &succs[v] {
-                    // Only re-queue nodes we own; out-of-set successors
-                    // belong to later levels and have not started.
-                    if nodes.contains(&s) && !queued[s] {
-                        queued[s] = true;
-                        queue.push_back(s);
-                    }
+        in_sets[v] = new_in;
+        if BitSet::transfer_into(&mut out_sets[v], &in_sets[v], &gen[v], &kill[v]) {
+            for &s in &succs[v] {
+                if !queued[s] {
+                    queued[s] = true;
+                    queue.push_back(s);
                 }
-            }
-        }
-    };
-
-    if n_workers <= 1 {
-        let all: Vec<usize> = (0..n).collect();
-        solve_nodes(&all, &mut in_sets, &mut out_sets);
-        return (in_sets, out_sets);
-    }
-
-    let dag = crate::scc::SccDag::build(succs);
-    for level in dag.levels() {
-        // Each task solves one SCC against the frozen global state and
-        // returns its nodes' new sets; the merge after the barrier is the
-        // only writer of the shared vectors.
-        let solved: Vec<Vec<(usize, BitSet, BitSet)>> =
-            sthreads::par_map(level.len(), n_workers, sthreads::Schedule::Dynamic, |k| {
-                let nodes = &dag.comps[level[k]];
-                let mut local_in: Vec<BitSet> = nodes.iter().map(|&v| in_sets[v].clone()).collect();
-                let mut local_out: Vec<BitSet> =
-                    nodes.iter().map(|&v| out_sets[v].clone()).collect();
-                // Local fixpoint restricted to the SCC's nodes.
-                let index_of = |v: usize| nodes.iter().position(|&x| x == v);
-                let mut changed = true;
-                while changed {
-                    changed = false;
-                    for (li, &v) in nodes.iter().enumerate() {
-                        let mut new_in = BitSet::new(nbits);
-                        for &p in &preds[v] {
-                            match index_of(p) {
-                                Some(lp) => new_in.union_with(&local_out[lp]),
-                                None => new_in.union_with(&out_sets[p]),
-                            };
-                        }
-                        local_in[li] = new_in;
-                        changed |= BitSet::transfer_into(
-                            &mut local_out[li],
-                            &local_in[li],
-                            &gen[v],
-                            &kill[v],
-                        );
-                    }
-                }
-                nodes
-                    .iter()
-                    .enumerate()
-                    .map(|(li, &v)| (v, local_in[li].clone(), local_out[li].clone()))
-                    .collect()
-            });
-        for comp in solved {
-            for (v, i, o) in comp {
-                in_sets[v] = i;
-                out_sets[v] = o;
             }
         }
     }
@@ -455,21 +365,17 @@ impl PartialEq for Cfg {
     }
 }
 
-/// Solve both analyses for a loop nest. `n_workers <= 1` runs the
-/// sequential worklist; more workers run the SCC-DAG parallel schedule.
-/// The results are bit-identical either way (see the module docs).
-pub fn solve(l: &LoopNest, n_workers: usize) -> Facts {
+/// Solve both analyses for a loop nest.
+pub fn solve(l: &LoopNest) -> Facts {
     let cfg = Cfg::from_loop(l);
     let nd = cfg.defs.len();
     let ns = cfg.scalars.len();
-    let (reach_in, reach_out) =
-        solve_union_dataflow(&cfg.succs, &cfg.gen_rd, &cfg.kill_rd, nd, n_workers);
+    let (reach_in, reach_out) = solve_union_dataflow(&cfg.succs, &cfg.gen_rd, &cfg.kill_rd, nd);
     // Liveness is the same union problem on the reversed graph with
     // use/def as gen/kill: live_out[v] = ∪ succ live_in, and
     // live_in = use ∪ (live_out − def). On the reversed graph the
     // engine's `in` is live_out and its `out` is live_in.
-    let (live_out, live_in) =
-        solve_union_dataflow(&cfg.preds, &cfg.use_lv, &cfg.def_lv, ns, n_workers);
+    let (live_out, live_in) = solve_union_dataflow(&cfg.preds, &cfg.use_lv, &cfg.def_lv, ns);
     Facts {
         cfg,
         reach_in,
@@ -477,12 +383,6 @@ pub fn solve(l: &LoopNest, n_workers: usize) -> Facts {
         live_in,
         live_out,
     }
-}
-
-/// [`solve`] with the sequential worklist only — the oracle the parallel
-/// schedule is tested against.
-pub fn solve_sequential(l: &LoopNest) -> Facts {
-    solve(l, 1)
 }
 
 #[cfg(test)]
@@ -522,7 +422,7 @@ mod tests {
 
     #[test]
     fn back_edge_carries_defs_and_liveness() {
-        let facts = solve_sequential(&carried_loop());
+        let facts = solve(&carried_loop());
         // x is live at entry (read in node 0, written only in node 1).
         assert!(facts.live_at_entry("x"));
         assert!(facts.live_at_entry("y"));
@@ -547,7 +447,7 @@ mod tests {
                     .reads(&["t"])
                     .array("b", vec![Expr::var("i")], true),
             );
-        let facts = solve_sequential(&l);
+        let facts = solve(&l);
         assert!(!facts.live_at_entry("t"));
     }
 
@@ -559,7 +459,7 @@ mod tests {
             vec![Expr::Opaque("k".into())],
             true,
         ));
-        let facts = solve_sequential(&l);
+        let facts = solve(&l);
         assert!(facts.cfg.scalar_id("k").is_some());
         assert!(facts.live_at_entry("k"));
     }
@@ -571,33 +471,13 @@ mod tests {
             vec![Expr::Opaque("x in region".into())],
             true,
         ));
-        let facts = solve_sequential(&l);
+        let facts = solve(&l);
         assert!(facts.cfg.scalar_id("x in region").is_none());
     }
 
     #[test]
-    fn parallel_solve_matches_sequential_on_nested_loops() {
-        let l = LoopNest::new("outer", "i")
-            .stmt(Stmt::new("s0").writes(&["a"]).reads(&["c"]))
-            .nest(
-                LoopNest::new("mid", "j")
-                    .stmt(Stmt::new("s1").writes(&["b"]).reads(&["a"]))
-                    .nest(
-                        LoopNest::new("inner", "k")
-                            .stmt(Stmt::new("s2").writes(&["c"]).reads(&["b", "c"])),
-                    ),
-            )
-            .stmt(Stmt::new("s3").writes(&["d"]).reads(&["c", "d"]));
-        let seq = solve_sequential(&l);
-        for workers in [2, 4, 8] {
-            let par = solve(&l, workers);
-            assert_eq!(seq, par, "{workers} workers");
-        }
-    }
-
-    #[test]
     fn empty_loop_solves() {
-        let facts = solve_sequential(&LoopNest::new("empty", "i"));
+        let facts = solve(&LoopNest::new("empty", "i"));
         assert!(facts.cfg.stmts.is_empty());
         assert!(!facts.live_at_entry("anything"));
     }

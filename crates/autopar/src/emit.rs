@@ -107,13 +107,13 @@ mod tests {
     #[test]
     fn rejected_loops_emit_no_plan() {
         let l = LoopNest::new("for i", "i").stmt(Stmt::new("x = f(i)").writes(&["x"]).call("f"));
-        assert_eq!(plan(&l, &DataflowOptions::new(1)), None);
+        assert_eq!(plan(&l, &DataflowOptions::new()), None);
     }
 
     #[test]
     fn dense_affine_loops_schedule_statically() {
         let l = crate::programs::affine_vector_loop();
-        let p = plan(&l, &DataflowOptions::new(1)).expect("parallel");
+        let p = plan(&l, &DataflowOptions::new()).expect("parallel");
         assert_eq!(p.schedule, Schedule::Static);
         assert_eq!(p.annotation(), "#pragma sthreads parallel schedule(static)");
     }
@@ -128,7 +128,7 @@ mod tests {
                 .array("out", vec![Expr::Opaque("n".into())], true)
                 .array("a", vec![Expr::var("i")], false),
         );
-        let p = plan(&l, &DataflowOptions::new(1)).expect("parallel");
+        let p = plan(&l, &DataflowOptions::new()).expect("parallel");
         assert_eq!(p.schedule, Schedule::Dynamic);
         let text = p.annotation();
         assert!(text.contains("reduction(count:n)"), "{text}");
@@ -143,14 +143,14 @@ mod tests {
                 .array("a", vec![Expr::var("i")], true)
                 .array("b", vec![Expr::Opaque("idx".into())], false),
         );
-        let p = plan(&l, &DataflowOptions::new(1)).expect("parallel");
+        let p = plan(&l, &DataflowOptions::new()).expect("parallel");
         assert_eq!(p.schedule, Schedule::Stealing);
     }
 
     #[test]
     fn pragma_loops_still_get_a_plan() {
         let l = crate::programs::program2_threat_chunked(true);
-        let p = plan(&l, &DataflowOptions::benchmark(1)).expect("pragma loops run parallel");
+        let p = plan(&l, &DataflowOptions::benchmark()).expect("pragma loops run parallel");
         assert_eq!(p.loop_label, l.label);
     }
 }

@@ -24,10 +24,8 @@
 //!   paper's Programs 1–4 ([`programs`]) reach exactly the published
 //!   verdicts;
 //! * a worklist bitset dataflow engine ([`dataflow`]: reaching
-//!   definitions + liveness) scheduled over the Tarjan condensation of
-//!   the CFG ([`scc`]), with the parallel SCC-DAG solve dogfooding
-//!   [`sthreads::par_map`] and the sequential worklist kept as its
-//!   bit-identical oracle;
+//!   definitions + liveness) solved to the least fixpoint of a
+//!   union/monotone lattice;
 //! * recognition on top of the solved facts ([`reduction`]): associative
 //!   reductions, scalar/array privatization, the `out[count++]`
 //!   compaction idiom, and interprocedural purity summaries — each
@@ -51,7 +49,6 @@ pub mod ir;
 pub mod programs;
 pub mod reduction;
 pub mod report;
-pub mod scc;
 
 pub use deps::{analyze_loop, analyze_loop_with, AnalysisOptions};
 pub use emit::{emit_plan, ParallelPlan};

@@ -86,30 +86,23 @@ impl Summaries {
     }
 }
 
-/// Capabilities and resources of the dataflow pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Capabilities of the dataflow pass.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DataflowOptions {
     /// Interprocedural purity summaries.
     pub summaries: Summaries,
-    /// Workers for the SCC-DAG parallel solve (`<= 1` = sequential
-    /// worklist oracle; results are bit-identical either way).
-    pub n_workers: usize,
 }
 
 impl DataflowOptions {
-    /// No summaries (calls stay opaque), solved with `n_workers`.
-    pub fn new(n_workers: usize) -> Self {
-        DataflowOptions {
-            summaries: Summaries::empty(),
-            n_workers,
-        }
+    /// No summaries (calls stay opaque).
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Benchmark-callee summaries, solved with `n_workers`.
-    pub fn benchmark(n_workers: usize) -> Self {
+    /// Benchmark-callee summaries.
+    pub fn benchmark() -> Self {
         DataflowOptions {
             summaries: Summaries::benchmark(),
-            n_workers,
         }
     }
 }
@@ -294,7 +287,7 @@ pub fn analyze_loop_dataflow(l: &LoopNest, opts: &DataflowOptions) -> DataflowVe
         };
     }
 
-    let facts: Facts = dataflow::solve(l, opts.n_workers);
+    let facts: Facts = dataflow::solve(l);
     let stmts = &facts.cfg.stmts;
     let private: BTreeSet<String> = l.all_private().into_iter().collect();
     let scratch: BTreeSet<String> = l.all_scratch().into_iter().collect();
@@ -478,7 +471,7 @@ mod tests {
     use crate::ir::{Expr, LoopNest, Stmt};
 
     fn df(l: &LoopNest) -> DataflowVerdict {
-        analyze_loop_dataflow(l, &DataflowOptions::new(1))
+        analyze_loop_dataflow(l, &DataflowOptions::new())
     }
 
     #[test]
@@ -682,7 +675,7 @@ mod tests {
                 true,
             ),
         );
-        let mut opts = DataflowOptions::new(1);
+        let mut opts = DataflowOptions::new();
         opts.summaries.add("f", "pure");
         let v = analyze_loop_dataflow(&l, &opts);
         assert!(!v.verdict.parallel);
@@ -705,15 +698,5 @@ mod tests {
         let v = df(&l);
         assert!(v.verdict.parallel && v.verdict.by_pragma);
         assert!(v.clearings.is_empty());
-    }
-
-    #[test]
-    fn worker_count_does_not_change_the_verdict() {
-        let l = crate::programs::program1_threat_sequential();
-        let v1 = analyze_loop_dataflow(&l, &DataflowOptions::benchmark(1));
-        for w in [2, 8] {
-            let vw = analyze_loop_dataflow(&l, &DataflowOptions::benchmark(w));
-            assert_eq!(v1, vw, "{w} workers");
-        }
     }
 }

@@ -1,26 +1,8 @@
-//! Shared helpers for the Criterion benchmark harness.
+//! Criterion benchmarks whose numbers feed a report.
 //!
-//! Each bench target covers part of the paper's evaluation:
-//!
-//! * `tables` — one group per table (2–12): regenerates the paper row set
-//!   from measured profiles through the calibrated models and reports how
-//!   long the full experiment takes.
-//! * `figures` — the four speedup figures, plus *host* executions of the
-//!   benchmark programs themselves (workload generation, sequential
-//!   baseline, every parallel variant).
-//! * `mta_micro` — cycle-level simulator benchmarks (utilization curve,
-//!   kernels, bank behaviour).
-//! * `ablations` — design-choice studies the paper discusses: block-lock
-//!   granularity, static vs dynamic scheduling, chunk count, and MTA
-//!   latency-parameter sensitivity.
-
-use eval_core::{Experiments, WorkloadScale};
-use std::sync::OnceLock;
-
-/// The shared reduced-scale experiment harness. Loaded from the on-disk
-/// snapshot cache when one is fresh (`eval_core::cache`), so repeated
-/// bench runs skip workload measurement and calibration entirely.
-pub fn experiments() -> &'static Experiments {
-    static E: OnceLock<Experiments> = OnceLock::new();
-    E.get_or_init(|| Experiments::load_or_measure(WorkloadScale::Reduced).0)
-}
+//! * `kernels` — each c3i hot kernel against its pinned baseline (LOS
+//!   recurrence, ring iteration, engagement scan); the `ci.sh` smoke run
+//!   and the EXPERIMENTS.md kernel table.
+//! * `overhead` — sthreads region dispatch: fresh scoped threads vs the
+//!   persistent pool, per-task dispatch cost, and the fine-grain task
+//!   storm; the EXPERIMENTS.md `spawn_overhead` numbers.

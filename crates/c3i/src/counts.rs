@@ -16,7 +16,7 @@ use sthreads::{OpCounts, OpRecorder, ThreadCounts};
 /// `spawn` is one logical thread creation.
 pub trait Rec {
     /// Whether this recorder actually accumulates counts. Kernels with a
-    /// batched fast path (the SoA engagement scan, the `simd` row sweep)
+    /// batched fast path (the SoA engagement scan, the explicit-lane row sweep)
     /// check this at compile time: when `true` they take the historical
     /// stepwise path so recorded totals stay exactly those of the
     /// reference code; when `false` (the [`NoRec`] timing path) they are

@@ -596,11 +596,11 @@ impl Default for KernelArena {
     }
 }
 
-/// Explicit-lane f64 vectors for the `simd` feature. Lanewise IEEE-754
+/// Explicit-lane f64 vectors for the row sweep. Lanewise IEEE-754
 /// add/sub/mul/div/max/floor are bit-identical to their scalar
-/// counterparts, which is why the `simd` kernels produce bit-identical
-/// masking grids (pinned by the corpus-replay identity tests).
-#[cfg(feature = "simd")]
+/// counterparts, which is why the lane sweep produces bit-identical
+/// masking grids (pinned against `terrain_masking_reference` and by the
+/// corpus-replay identity tests).
 mod wide {
     /// Lane count of the hand-rolled vector type.
     pub const LANES: usize = 4;
@@ -743,9 +743,9 @@ fn sweep_row<S: AltStore, R: Rec>(
         row.push(v);
     }
 
-    #[cfg_attr(not(feature = "simd"), allow(unused_mut))]
+    // Full lanes first; the scalar loop below finishes the tail and runs
+    // the whole span when counting (it is the one that records ops).
     let mut x = ix0;
-    #[cfg(feature = "simd")]
     if !R::COUNTING && x <= ix1 {
         use wide::{F64s, LANES};
         let cx_s = F64s::splat(cx as f64);

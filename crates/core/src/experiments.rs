@@ -618,39 +618,22 @@ impl Experiments {
         }
     }
 
-    /// Every table, in paper order. Generated across all host processors
-    /// (on the persistent worker pool — table generation is far too short
-    /// to amortize per-region thread spawns); identical output to
-    /// generating them one at a time.
+    /// Every table, in paper order.
     pub fn all_tables(&self) -> Vec<Table> {
-        self.all_tables_with_threads(ThreadPool::global().n_threads())
-    }
-
-    /// [`Experiments::all_tables`] with an explicit worker count.
-    ///
-    /// Each table is a pure function of `&self`, so the generators run as a
-    /// static `multithreaded_for` over the fixed row of 12 (Program 2's
-    /// schedule: table costs are uniform enough that self-scheduling buys
-    /// nothing). [`par_map`] preserves paper order regardless of thread
-    /// interleaving.
-    pub fn all_tables_with_threads(&self, n_threads: usize) -> Vec<Table> {
-        const GENERATORS: [fn(&Experiments) -> Table; 12] = [
-            Experiments::table1,
-            Experiments::table2,
-            Experiments::table3,
-            Experiments::table4,
-            Experiments::table5,
-            Experiments::table6,
-            Experiments::table7,
-            Experiments::table8,
-            Experiments::table9,
-            Experiments::table10,
-            Experiments::table11,
-            Experiments::table12,
-        ];
-        par_map(GENERATORS.len(), n_threads, Schedule::Static, |i| {
-            GENERATORS[i](self)
-        })
+        vec![
+            self.table1(),
+            self.table2(),
+            self.table3(),
+            self.table4(),
+            self.table5(),
+            self.table6(),
+            self.table7(),
+            self.table8(),
+            self.table9(),
+            self.table10(),
+            self.table11(),
+            self.table12(),
+        ]
     }
 
     // ── figures ──────────────────────────────────────────────────────────
@@ -722,7 +705,7 @@ impl Experiments {
     pub fn autopar_report(&self) -> AutoparSummary {
         AutoparSummary {
             report: autopar::programs::benchmark_report(),
-            dataflow: autopar::programs::dataflow_report(1),
+            dataflow: autopar::programs::dataflow_report(),
         }
     }
 
@@ -738,14 +721,13 @@ impl Experiments {
     ///
     /// Every cell is deterministic text — no timings — so the CSV is
     /// scale-independent and diffable against the pinned
-    /// `results/table_auto.csv` in CI. `n_threads` drives the SCC-DAG
-    /// dataflow solve and the execution checks, never the verdicts
-    /// (which are bit-identical at any worker count).
+    /// `results/table_auto.csv` in CI. `n_threads` drives the execution
+    /// checks, never the verdicts.
     pub fn table_auto(n_threads: usize) -> Table {
         let n_threads = n_threads.max(1);
         let loops = autopar::programs::benchmark_loops();
         let conservative = autopar::programs::benchmark_report();
-        let dataflow = autopar::programs::dataflow_report(n_threads);
+        let dataflow = autopar::programs::dataflow_report();
         assert!(
             dataflow.strictly_improves(&conservative),
             "the dataflow pass must parallelize strictly more loops"
@@ -1110,13 +1092,6 @@ pub fn util_cfg() -> mta_sim::MtaConfig {
     }
 }
 
-/// Minimum acceptable parallel speedup for the table-generation phase.
-/// The phase's work is tiny (~1 ms), so the only way to fail this gate is
-/// to pay dispatch overhead for parallelism that cannot help — exactly the
-/// regression the overhead-aware sequential cutoff in `par_map` exists to
-/// prevent.
-pub const TABLE_GEN_SPEEDUP_GATE: f64 = 0.95;
-
 /// Minimum acceptable ratio of shared-queue time to work-stealing time on
 /// the `fine_grain` task storm. The phase compares the two *dispatch
 /// mechanisms* at the same thread count, so the gate asserts stealing is
@@ -1191,7 +1166,7 @@ impl PhaseBreakdown {
 /// vs work-stealing dispatch (`par_seconds`).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct PhaseTiming {
-    /// Phase name (stable — `ci.sh` gates on "table generation").
+    /// Phase name (stable — `ci.sh` gates on "fine_grain").
     pub phase: String,
     /// Wall-clock seconds on one host thread.
     pub seq_seconds: f64,
@@ -1249,10 +1224,11 @@ pub struct HarnessReport {
 
 impl HarnessReport {
     /// Check the report against the harness's invariants: every phase
-    /// present and bit-identical, every number finite and positive, and
-    /// the table-generation phase at or above
-    /// [`TABLE_GEN_SPEEDUP_GATE`]. Returns every violation, not just the
-    /// first — this is the `ci.sh` regression gate.
+    /// present and bit-identical, every number finite and positive, the
+    /// `fine_grain` phase at or above [`FINE_GRAIN_SPEEDUP_GATE`] and the
+    /// kernels at or above [`KERNELS_SPEEDUP_GATE`]. Returns every
+    /// violation, not just the first — this is the `ci.sh` regression
+    /// gate.
     pub fn validate(&self) -> Result<(), Vec<String>> {
         let mut errs = Vec::new();
         if self.host_threads == 0 {
@@ -1289,15 +1265,6 @@ impl HarnessReport {
                     ));
                 }
             }
-        }
-        match self.phases.iter().find(|p| p.phase == "table generation") {
-            Some(tg) if tg.speedup < TABLE_GEN_SPEEDUP_GATE => errs.push(format!(
-                "table generation speedup {:.2}x is below the {TABLE_GEN_SPEEDUP_GATE} gate \
-                 (seq {:.6} s, par {:.6} s) — parallel dispatch is costing more than it saves",
-                tg.speedup, tg.seq_seconds, tg.par_seconds
-            )),
-            Some(_) => {}
-            None => errs.push("missing 'table generation' phase".to_string()),
         }
         match self.phases.iter().find(|p| p.phase == "fine_grain") {
             Some(fg) if fg.speedup < FINE_GRAIN_SPEEDUP_GATE => errs.push(format!(
@@ -1511,24 +1478,6 @@ pub fn harness_timing(scale: crate::workload::WorkloadScale, n_threads: usize) -
         || Workload::build_with(scale, 1, Schedule::Dynamic),
         || Workload::build_with(scale, n_threads, Schedule::Dynamic),
         |a, b| a == b,
-    ));
-
-    let exps = Experiments::new(Workload::build_with(scale, n_threads, Schedule::Dynamic));
-    let csv = |tables: &[Table]| -> String {
-        tables
-            .iter()
-            .map(|t| t.to_csv())
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    // Table generation takes ~1 ms; best-of-3 keeps one preempted run
-    // from deciding the ci gate.
-    phases.push(measure_phase(
-        "table generation",
-        3,
-        || exps.all_tables_with_threads(1),
-        || exps.all_tables_with_threads(n_threads),
-        |a, b| csv(a) == csv(b),
     ));
 
     phases.push(measure_phase(
@@ -1900,7 +1849,6 @@ mod tests {
             dispatch_floor_ns: 4000,
             phases: vec![
                 phase("workload measurement", 2.0, 0.6),
-                phase("table generation", 0.001, 0.001),
                 phase("utilization sweep", 1.0, 0.3),
                 phase("fine_grain", 0.012, 0.010),
             ],
@@ -1919,43 +1867,14 @@ mod tests {
     }
 
     #[test]
-    fn table_generation_slowdown_fails_the_gate() {
-        let mut r = good_report();
-        let tg = r
-            .phases
-            .iter_mut()
-            .find(|p| p.phase == "table generation")
-            .unwrap();
-        tg.par_seconds = tg.seq_seconds / 0.63; // the regression this PR fixes
-        tg.speedup = 0.63;
-        let errs = r.validate().unwrap_err();
-        assert!(
-            errs.iter().any(|e| e.contains("below the 0.95 gate")),
-            "{errs:?}"
-        );
-    }
-
-    #[test]
     fn nonidentical_output_and_bad_numbers_are_reported_together() {
         let mut r = good_report();
         r.phases[0].identical_output = false;
-        r.phases[2].breakdown.useful_work_s = f64::NAN;
+        r.phases[1].breakdown.useful_work_s = f64::NAN;
         let errs = r.validate().unwrap_err();
         assert!(errs.iter().any(|e| e.contains("differs from sequential")));
         assert!(errs.iter().any(|e| e.contains("useful_work_s")));
         assert_eq!(errs.len(), 2, "{errs:?}");
-    }
-
-    #[test]
-    fn missing_table_generation_phase_is_an_error() {
-        let mut r = good_report();
-        r.phases.retain(|p| p.phase != "table generation");
-        let errs = r.validate().unwrap_err();
-        assert!(
-            errs.iter()
-                .any(|e| e.contains("missing 'table generation'")),
-            "{errs:?}"
-        );
     }
 
     #[test]
@@ -2038,7 +1957,7 @@ mod tests {
             "host_threads": 4,
             "dispatch_floor_ns": 4000,
             "phases": [{
-                "phase": "table generation",
+                "phase": "workload measurement",
                 "seq_seconds": 0.001,
                 "par_seconds": 0.001,
                 "speedup": 1.0,
@@ -2106,7 +2025,7 @@ mod tests {
             "scale": "Reduced",
             "host_threads": 4,
             "phases": [{
-                "phase": "table generation",
+                "phase": "workload measurement",
                 "seq_seconds": 0.001,
                 "par_seconds": 0.001,
                 "speedup": 1.0,

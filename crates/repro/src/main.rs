@@ -159,11 +159,9 @@ fn parse_args_from(args: impl IntoIterator<Item = String>) -> Result<Options, St
                 opts.fuzz_seed = parsed_operand("--fuzz-seed", "a u64 seed", &mut args)?
             }
             "--threads" => {
-                opts.n_threads = Some(parsed_operand(
-                    "--threads",
-                    "a positive integer",
-                    &mut args,
-                )?)
+                let n: std::num::NonZeroUsize =
+                    parsed_operand("--threads", "a positive integer", &mut args)?;
+                opts.n_threads = Some(n.get())
             }
             "--serve" => {
                 opts.serve = Some(operand(
@@ -263,23 +261,15 @@ fn run_gate(path: &str) -> ! {
     };
     match report.validate() {
         Ok(()) => {
-            let tg = report
-                .phases
-                .iter()
-                .find(|p| p.phase == "table generation")
-                .expect("validate() guarantees the phase exists");
             let fg = report
                 .phases
                 .iter()
                 .find(|p| p.phase == "fine_grain")
                 .expect("validate() guarantees the phase exists");
             println!(
-                "gate: {path} OK — {} phases identical, table generation {:.2}x (gate {}), \
-                 fine_grain stealing vs shared queue {:.2}x (gate {}), \
+                "gate: {path} OK — {} phases identical, fine_grain stealing vs shared queue {:.2}x (gate {}), \
                  kernels vs scalar baseline {:.2}x (gate {})",
                 report.phases.len(),
-                tg.speedup,
-                experiments::TABLE_GEN_SPEEDUP_GATE,
                 fg.speedup,
                 experiments::FINE_GRAIN_SPEEDUP_GATE,
                 report.kernels.speedup,
@@ -896,6 +886,7 @@ mod tests {
             &["--fuzz", "many"][..],
             &["--fuzz-seed", "1.5"],
             &["--threads", "-2"],
+            &["--threads", "0"],
             &["--requests", "x"],
             &["--conns", ""],
             &["--mix-seed", "-1"],
